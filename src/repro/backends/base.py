@@ -58,11 +58,11 @@ __all__ = [
 Program = Callable[..., Any]
 
 #: Synchronization modes of the exchange protocol (DESIGN
-#: "Synchronization modes").  ``strict`` is the two-phase barrier used
-#: everywhere before this layer existed and remains the accounting
-#: oracle; ``relaxed`` piggybacks completion on the data frames so a
-#: processor passes ``bspSynch`` as soon as its own inbound frames are
-#: complete; ``elide`` additionally skips the empty frames of peers
+#: "Synchronization modes").  ``strict`` (the default) makes the
+#: all-to-all of one frame per link the barrier; ``relaxed`` passes
+#: ``bspSynch`` as soon as a processor's own inbound frames are complete
+#: (on pipes, empty links then send nothing; on TCP it is the same
+#: protocol as strict); ``elide`` additionally skips the frames of peers
 #: outside a declared :class:`~repro.bsplib.CommPattern`.
 SYNC_MODES = ("strict", "relaxed", "elide")
 

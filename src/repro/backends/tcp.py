@@ -9,31 +9,25 @@ combined frame per peer** using the exact pickle-5 out-of-band layout of
 :mod:`~repro.backends.frames` — so ``seq``/``h`` accounting (and hence
 every ledger) is bit-identical to the other backends.
 
-``bspSynch`` is a two-phase barrier over the mesh:
+``bspSynch`` is one round over the mesh, as in B.3's PC-LAN library
+where the total exchange itself is the barrier: in
+:func:`~repro.backends.exchange.peer_order` (B.3's pairing discipline)
+every rank sends each awaited peer exactly one ``TAG_PKT`` frame per
+superstep — its combined bucket, or an empty final frame when the
+bucket is empty — and passes superstep ``s`` once it holds every
+awaited peer's final frame for ``s``.  Per-link TCP FIFO bounds
+run-ahead to one superstep (a peer cannot finish ``s+1`` before our
+step-``s+1`` frame, which we only send after passing ``s``), and a
+dropped frame stalls its receiver forever, which supervision reports as
+a :class:`~repro.core.errors.DeadlockError`.
 
-1. *counts exchange* — in :func:`~repro.backends.exchange.peer_order`
-   (B.3's pairing discipline), every rank sends each peer a tiny
-   ``TAG_COUNTS`` frame announcing how many data frames follow for this
-   superstep (0 or 1, since buckets are combined), then the data frame
-   itself.  A rank has "arrived" once every live peer's announced frames
-   are in hand.
-2. *release* — it then broadcasts ``TAG_RELEASE`` and may pass the
-   barrier only after receiving every live peer's release.  This bounds
-   run-ahead to one superstep (early frames are stashed by step), and
-   gives DROP_FRAME fault injection its honest semantics: a dropped
-   frame stalls phase 1 forever, which supervision reports as a
-   :class:`~repro.core.errors.DeadlockError`.
-
-That is the **strict** (default) mode.  ``run(..., sync="relaxed")``
-drops both control rounds: completion is piggybacked on the data frames
-themselves (the wire header's ``more`` bit), every live link carries
-exactly one frame per boundary (empty buckets become an empty final
-frame), and per-link TCP FIFO bounds run-ahead to one superstep.
-``sync="elide"`` additionally uses a declared
-:class:`~repro.bsplib.CommPattern` to skip non-neighbour links
-entirely.  See :class:`_MeshChannel`.  All modes deliver bit-identical
-results and ledgers; checkpoint cuts fence through the strict barrier
-in every mode.
+``strict`` (the default) and ``relaxed`` run this same protocol over
+every link.  Only ``sync="elide"`` differs: with a declared
+:class:`~repro.bsplib.CommPattern` it sends along ``sends_to`` links and
+awaits ``receives_from`` links only, so non-neighbours exchange nothing.
+A checkpoint cut fences the next boundary back onto every link.  All
+modes deliver bit-identical results and ledgers.  See
+:class:`_MeshChannel`.
 
 All sockets are non-blocking and serviced by one
 :mod:`selectors`-based event loop per rank, so serialization, sends, and
@@ -42,11 +36,12 @@ empty the pipe" discipline, which is what makes two peers pushing large
 boundary frames at each other deadlock-free.
 
 Supervision mirrors the process backend (whose helpers it reuses): every
-rank keeps a control connection to its supervisor carrying heartbeat
-frames per boundary and the final outcome; the supervisor multiplexes
-those sockets with each rank's ``Process.sentinel``, so a SIGKILLed rank
-surfaces as :class:`~repro.core.errors.WorkerCrashError` within
-milliseconds and flat heartbeats at the deadline become a
+rank keeps a control connection to its supervisor carrying heartbeats
+(piggybacked on inbound data: at most one per 0.25 s while frames
+arrive) and the final outcome; the supervisor multiplexes those sockets
+with each rank's ``Process.sentinel``, so a SIGKILLed rank surfaces as
+:class:`~repro.core.errors.WorkerCrashError` within milliseconds and
+flat heartbeats at the deadline become a
 :class:`~repro.core.errors.DeadlockError`.  Mesh sockets carry
 ``SO_KEEPALIVE`` so a vanished *machine* (no FIN, no RST) eventually
 dies too.  Peer-death propagates in-band: EOF from a peer that never
@@ -178,18 +173,15 @@ class _LinkState:
     reconnected socket resumes exactly where the dead one stopped, and
     in pool mode the numbering continues across runs on the same mesh.
 
-    ``journal`` maps ``seq -> encoded chunks`` for every sent frame the
-    peer has not yet cumulatively acked; ``volatile`` marks journal
-    entries whose payload memoryviews alias live program arrays (strict
-    mode sends) — those are force-trimmed at barrier exit, where the
-    peer's release proves receipt, so they are never replayed with
-    mutated bytes.  ``stash`` is the receive-side reorder buffer that
-    makes a NACK resend of one frame sufficient.
+    ``journal`` maps ``seq -> encoded chunks`` (a byte snapshot, never
+    aliasing program arrays) for every sent frame the peer has not yet
+    cumulatively acked.  ``stash`` is the receive-side reorder buffer
+    that makes a NACK resend of one frame sufficient.
     """
 
     __slots__ = ("dec", "tx_seq", "rx_next", "peer_ack", "journal",
-                 "volatile", "attempts", "stash", "retransmits",
-                 "reconnects", "dups", "corrupts")
+                 "attempts", "stash", "retransmits", "reconnects", "dups",
+                 "corrupts")
 
     def __init__(self) -> None:
         self.dec = wire.FrameDecoder()
@@ -197,7 +189,6 @@ class _LinkState:
         self.rx_next = 0         # next sequence number expected inbound
         self.peer_ack = 0        # highest cumulative ack seen from peer
         self.journal: dict[int, list] = {}
-        self.volatile: set[int] = set()
         self.attempts: dict[int, int] = {}
         self.stash: dict[int, Frame] = {}
         self.retransmits = 0
@@ -207,25 +198,23 @@ class _LinkState:
 
 
 # ---------------------------------------------------------------------------
-# Rank side: the mesh channel (event loop + two-phase barrier)
+# Rank side: the mesh channel (event loop + one-round boundary)
 # ---------------------------------------------------------------------------
 
 
 class _MeshChannel:
     """Superstep-boundary exchange over a socket mesh (one rank's view).
 
-    ``sync`` selects the boundary protocol.  **strict** (default): the
-    two-phase counts→release barrier described in the module docstring.
-    **relaxed**: no TAG_COUNTS round and no TAG_RELEASE broadcast — each
-    rank sends exactly one TAG_PKT frame per live link (empty buckets
-    become an empty final frame) with the header's ``more`` bit cleared,
-    and passes the barrier as soon as its own inbound final frames for
-    the step are all in and its outbound queues drained.  Per-link TCP
-    FIFO bounds run-ahead to one superstep (a peer cannot start step
-    ``s+1`` before our step-``s`` final reached it).  **elide**: like
-    relaxed, but with a declared :class:`~repro.bsplib.CommPattern` the
-    rank sends finals only along ``sends_to`` links and awaits only
-    ``receives_from`` links — non-neighbours exchange nothing at all.
+    Every mode runs one round (:meth:`exchange`): exactly one TAG_PKT
+    frame per live out-link (an empty bucket becomes an empty final
+    frame) with the header's ``more`` bit cleared, and the rank passes
+    the barrier as soon as every awaited peer's final for the step is in
+    and its own outbound queues are drained.  Per-link TCP FIFO bounds
+    run-ahead to one superstep.  **strict** (default) and **relaxed**
+    use every link.  **elide**, with a declared
+    :class:`~repro.bsplib.CommPattern`, sends finals only along
+    ``sends_to`` links and awaits only ``receives_from`` links —
+    non-neighbours exchange nothing at all.
     """
 
     def __init__(self, rank: int, nprocs: int,
@@ -248,10 +237,11 @@ class _MeshChannel:
         self._integrity = integrity
         self._reconnect_timeout = reconnect_timeout
         self._pattern = None
-        #: One-shot downgrade to the strict protocol (checkpoint cuts).
-        self._fence_strict = False
-        #: Heartbeat piggybacking state (relaxed/elide): inbound data
-        #: frames since the last control beat, and when that beat was.
+        #: One-shot: the next boundary uses every link, even in elide
+        #: (checkpoint cuts).
+        self._fence = False
+        #: Heartbeat piggybacking state: inbound data frames since the
+        #: last control beat, and when that beat was.
         self._data_beats = 0
         self._last_beat = time.monotonic()
         self._hb_interval = heartbeat_interval
@@ -270,12 +260,9 @@ class _MeshChannel:
         self._gathering = False
         #: Per-step stashes; TCP per-link ordering bounds them to one
         #: step of run-ahead, but the dicts handle the general case.
-        self._counts: dict[int, dict[int, int]] = {}
         self._data: dict[int, dict[int, list[Packet]]] = {}
-        self._release: dict[int, set[int]] = {}
-        #: Relaxed-sync completion: peers whose final (``more == 0``)
-        #: frame for a step has arrived.  Strict-mode data frames also
-        #: land here (they carry ``more == 0`` too); both paths pop it.
+        #: Boundary completion: peers whose final (``more == 0``) frame
+        #: for a step has arrived.
         self._final: dict[int, set[int]] = {}
         self._results: dict[int, Any] = {}
         for peer, sock in self._socks.items():
@@ -315,19 +302,16 @@ class _MeshChannel:
         self._update_mask(peer)
 
     def _post(self, peer: int, chunks: Sequence[Any], *,
-              volatile: bool = False, copy: bool = False,
               eager: bool = False, corrupt: bool = False,
               dup: bool = False) -> None:
         """Sequence, journal, and transmit one encoded frame to ``peer``.
 
         With integrity on, the frame gets the link's next sequence number
         (plus a piggybacked cumulative ack) via :func:`wire.reenvelope`
-        and a journal entry retained until the peer acks past it.
-        ``copy=True`` snapshots the payload bytes into the journal —
-        required whenever the chunks alias live program arrays *and* the
-        barrier does not prove delivery before they may mutate (relaxed
-        run-ahead); strict-mode boundary frames use ``volatile=True``
-        instead, which marks the entry for force-trim at barrier exit.
+        and a journal entry retained until the peer acks past it.  The
+        entry snapshots the payload bytes: a rank passes the boundary —
+        and its program may mutate the arrays the chunks alias — before
+        the peer's ack arrives, so the journal must never alias them.
         ``corrupt``/``dup`` are fault-injection knobs: the journal always
         keeps the clean single copy, so recovery repairs the damage.
         """
@@ -337,10 +321,7 @@ class _MeshChannel:
             link.tx_seq += 1
             out = wire.reenvelope(chunks, seq, link.rx_next)
             link.journal[seq] = [
-                c if isinstance(c, bytes) else bytes(c) for c in out
-            ] if copy else list(out)
-            if volatile:
-                link.volatile.add(seq)
+                c if isinstance(c, bytes) else bytes(c) for c in out]
             if corrupt:
                 trailer = bytes(out[-1])
                 out = list(out)
@@ -357,7 +338,7 @@ class _MeshChannel:
     def _send_now(self, peer: int, chunks: Sequence[Any]) -> None:
         """Send eagerly on the (almost always writable) socket.
 
-        The relaxed boundary sends one small frame per link; pushing it
+        The boundary sends one small frame per link; pushing it
         straight into the kernel skips the queue's two selector
         re-registrations and one write-ready select round per link per
         step.  On backpressure the unsent tail falls back to the queued
@@ -478,9 +459,9 @@ class _MeshChannel:
         """Splice a fresh connection into the link, replaying the journal."""
         link = self._link[peer]
         if any(s not in link.journal for s in range(peer_rx, link.tx_seq)):
-            # A frame the peer never received was already trimmed (it was
-            # volatile and its barrier completed — impossible unless the
-            # peer lies) — the link cannot be made whole.
+            # A frame the peer claims it never received is gone from the
+            # journal, so it was acked — impossible unless the peer lies
+            # about its cursor; the link cannot be made whole.
             try:
                 sock.close()
             except OSError:
@@ -660,7 +641,6 @@ class _MeshChannel:
                 for s in range(link.peer_ack, frame.ack):
                     link.journal.pop(s, None)
                     link.attempts.pop(s, None)
-                    link.volatile.discard(s)
                 link.peer_ack = frame.ack
             if frame.seq < link.rx_next:
                 link.dups += 1  # retransmit overlap or injected duplicate
@@ -687,7 +667,7 @@ class _MeshChannel:
         entry = link.journal.get(seq)
         if entry is None or n > _MAX_RETRANSMITS:
             # Either the damage outlived the retry budget or the entry is
-            # gone (trimmed volatile): escalate to a full link reset.
+            # gone (already acked): escalate to a full link reset.
             self._link_down(peer)
             return
         link.retransmits += 1
@@ -711,11 +691,6 @@ class _MeshChannel:
                 frame.packets(self._rank)
             if frame.more == 0:
                 self._final.setdefault(frame.step, set()).add(frame.src)
-        elif tag == wire.TAG_COUNTS:
-            self._counts.setdefault(frame.step, {})[frame.src] = \
-                pickle.loads(frame.meta)
-        elif tag == wire.TAG_RELEASE:
-            self._release.setdefault(frame.step, set()).add(frame.src)
         elif tag == wire.TAG_RESULT:
             self._results[frame.src] = wire.frame_object(frame)
 
@@ -732,12 +707,16 @@ class _MeshChannel:
         self._pattern = pattern
 
     def fence_next_sync(self) -> None:
-        """Force the *next* boundary through the strict two-phase
-        barrier (checkpoint cuts need a full fence in every mode)."""
-        self._fence_strict = True
+        """Send and await on *every* link at the next boundary, even in
+        elide (checkpoint cuts need a full fence in every mode)."""
+        self._fence = True
+
+    def _counters(self) -> tuple[int, int]:
+        return (sum(l.retransmits for l in self._link.values()),
+                sum(l.reconnects for l in self._link.values()))
 
     def _beat(self, step: int) -> None:
-        """Heartbeat, piggybacked on data traffic in relaxed/elide.
+        """Heartbeat, piggybacked on inbound data traffic.
 
         Inbound data frames prove the fabric is moving, so a busy rank
         may skip the control-socket beat — but never for longer than the
@@ -747,153 +726,64 @@ class _MeshChannel:
         deadlocked rank stops reaching boundaries, stops beating either
         way, and still goes flat.
 
-        Beats also piggyback this rank's cumulative (retransmits,
-        reconnects) counters whenever they changed, so the supervisor's
-        ``health()`` sees link-level repair activity live.
+        Beats also carry this rank's cumulative (retransmits, reconnects)
+        counters whenever they changed, and a change is never skipped, so
+        the supervisor's ``health()`` sees link-level repair live.
         """
         if self._ctrl is None:
             return
-        if self._sync != "strict":
-            now = time.monotonic()
-            busy = self._data_beats > 0
-            self._data_beats = 0
+        now = time.monotonic()
+        busy = self._data_beats > 0
+        self._data_beats = 0
+        totals = self._counters()
+        if totals == self._hb_sent:
             if busy and now - self._last_beat < self._hb_interval:
                 return
-            self._last_beat = now
-        totals = (sum(l.retransmits for l in self._link.values()),
-                  sum(l.reconnects for l in self._link.values()))
-        meta = None
-        if totals != self._hb_sent:
+            meta = None
+        else:
             self._hb_sent = totals
             meta = pickle.dumps(totals)
+        self._last_beat = now
         self._ctrl.beat(step, meta)
 
     def exchange(self, pid: int, step: int,
                  outbox: list[Packet]) -> PacketRuns:
+        """One-round boundary: the all-to-all data frames are the barrier.
+
+        Exactly one TAG_PKT frame per out-link (an empty bucket becomes
+        an empty final frame) with ``more == 0``; the barrier passes as
+        soon as every awaited peer's final for this step is in hand and
+        our outbound queues are drained (queued chunks reference live
+        program arrays, so returning earlier would let the program
+        mutate bytes still on their way to a socket).  Run-ahead is
+        bounded to one superstep by per-link TCP FIFO: a peer cannot
+        pass step ``s`` before our step-``s`` final, which we only send
+        after passing step ``s-1``.
+        """
         self._beat(step)
+        run_id, rank = self._run_id, self._rank
         # Fault-injection hook — one attribute load + None test when off.
         plan = faults._ACTIVE
         if plan is not None:
-            plan.at_boundary(self._rank, step, self._nprocs, outbox)
+            plan.at_boundary(rank, step, self._nprocs, outbox)
             if plan.has_network_faults():
                 for peer in plan.reset_peers(
-                        self._rank, step,
+                        rank, step,
                         [q for q in self._peers if q in self._socks]):
                     self._inject_reset(peer)
         buckets: dict[int, list[Packet]] = {}
         for pkt in outbox:
             buckets.setdefault(pkt.dst, []).append(pkt)
-        if self._pattern is not None:
-            check_pattern_sends(self._rank, step, buckets, self._pattern)
-        strict = self._sync == "strict" or self._fence_strict
-        self._fence_strict = False
-        if not strict:
-            return self._exchange_relaxed(step, buckets)
-        run_id, rank = self._run_id, self._rank
-
-        # Phase 1 sends, in the total-exchange pairing order (B.3).
-        for peer in self._peers:
-            if peer in self._departed:
-                continue
-            corrupt = dup = False
-            if plan is not None:
-                if plan.drops_frame(rank, step, peer):
-                    continue  # lost message: the peer stalls in phase 1
-                delay = plan.slow_link(rank, step, peer)
-                if delay:
-                    time.sleep(delay)
-                corrupt = plan.corrupts_frame(rank, step, peer)
-                dup = plan.duplicates_frame(rank, step, peer)
-            bucket = buckets.get(peer)
-            # Encode the data frame *before* enqueueing anything for this
-            # peer: a pickling failure must not leave a counts frame
-            # announcing data that will never arrive.
-            data_chunks = wire.encode_packet_frame(
-                run_id, step, rank, bucket,
-                crc=self._integrity) if bucket else None
-            self._post(peer, wire.encode_frame(
-                wire.TAG_COUNTS, run_id, step, rank,
-                pickle.dumps(1 if bucket else 0), crc=self._integrity),
-                volatile=True, corrupt=corrupt and data_chunks is None,
-                dup=dup)
-            if plan is not None:
-                plan.count_frame(rank)
-            if data_chunks is not None:
-                self._post(peer, data_chunks, volatile=True,
-                           corrupt=corrupt, dup=dup)
-                if plan is not None:
-                    plan.count_frame(rank)
-
-        # Event loop: flush our frames while receiving theirs.
-        sent_release = False
-        while True:
-            counts = self._counts.get(step, {})
-            data = self._data.get(step, {})
-            live = [q for q in self._peers if q not in self._departed]
-            if not sent_release and all(
-                    q in counts and (counts[q] == 0 or q in data)
-                    for q in live):
-                for peer in live:
-                    self._post(peer, wire.encode_frame(
-                        wire.TAG_RELEASE, run_id, step, rank,
-                        crc=self._integrity))
-                    if plan is not None:
-                        plan.count_frame(rank)
-                sent_release = True
-            if sent_release:
-                rel = self._release.get(step, ())
-                if all(q in rel or q in self._departed
-                       for q in self._peers) \
-                        and not any(self._out.values()):
-                    break
-            self._pump()
-        if self._integrity:
-            # A peer's release proves it received every phase-1 frame we
-            # sent it, so the volatile journal entries (whose payload
-            # memoryviews alias live program arrays about to mutate) can
-            # never be NACKed or replayed — trim them now.
-            for q in self._release.get(step, ()):
-                link = self._link.get(q)
-                if link is None:
-                    continue
-                for s in link.volatile:
-                    link.journal.pop(s, None)
-                    link.attempts.pop(s, None)
-                link.volatile.clear()
-        self._counts.pop(step, None)
-        self._release.pop(step, None)
-        self._final.pop(step, None)
-        got = self._data.pop(step, {})
-        own = buckets.get(rank)
-        if own is not None:
-            got[rank] = own
-        # One run per source, each seq-sorted: canonical order once
-        # concatenated by src.
-        return PacketRuns(got.items())
-
-    def _exchange_relaxed(self, step: int,
-                          buckets: dict[int, list[Packet]]) -> PacketRuns:
-        """One-phase boundary: finals piggybacked on the data frames.
-
-        Exactly one TAG_PKT frame per out-link (an empty bucket becomes
-        an empty final frame) with ``more == 0``; the barrier passes as
-        soon as every awaited peer's final for this step is in hand and
-        our outbound queues are drained (payload memoryviews reference
-        live program arrays, so returning earlier would let the program
-        mutate bytes still queued on a socket).  Run-ahead is bounded to
-        one superstep by per-link TCP FIFO: a peer cannot pass step
-        ``s`` before our step-``s`` final, which we only send after
-        passing step ``s-1``.
-        """
-        run_id, rank = self._run_id, self._rank
-        plan = faults._ACTIVE
         pattern = self._pattern
-        if self._sync == "elide" and pattern is not None:
+        if pattern is not None:
+            check_pattern_sends(rank, step, buckets, pattern)
+        if self._sync == "elide" and pattern is not None \
+                and not self._fence:
             out_targets = [q for q in self._peers if q in pattern.sends_to]
-            expect = set(pattern.receives_from)
+            expect = pattern.receives_from
         else:
-            out_targets = list(self._peers)
-            expect = set(self._peers)
+            out_targets = expect = self._peers
+        self._fence = False
         empty_final = None  # identical for every empty link: encode once
         for peer in out_targets:
             if peer in self._departed:
@@ -917,12 +807,9 @@ class _MeshChannel:
                     empty_final = wire.encode_packet_frame(
                         run_id, step, rank, (), crc=self._integrity)
                 chunks = empty_final
-            # copy=True: relaxed run-ahead means the program may mutate
-            # the payload arrays before any ack arrives, so the journal
-            # snapshots the bytes (reenvelope inside _post re-addresses
-            # the shared empty final per peer).
-            self._post(peer, chunks, copy=True, eager=True,
-                       corrupt=corrupt, dup=dup)
+            # reenvelope inside _post re-addresses the shared empty final
+            # per peer.
+            self._post(peer, chunks, eager=True, corrupt=corrupt, dup=dup)
             if plan is not None:
                 plan.count_frame(rank)
         while True:
@@ -936,8 +823,9 @@ class _MeshChannel:
         own = buckets.get(rank)
         if own is not None:
             got[rank] = own
-        # Empty finals decoded to empty runs; PacketRuns drops them, so
-        # the merged inbox (and every ledger) matches strict mode.
+        # One run per source, each seq-sorted: canonical order once
+        # concatenated by src.  Empty finals decoded to empty runs, which
+        # PacketRuns drops, so every ledger matches the simulator.
         return PacketRuns(got.items())
 
     def depart(self) -> None:
@@ -954,7 +842,11 @@ class _MeshChannel:
             self._post(peer, wire.encode_frame(
                 TAG_LEFT, self._run_id, 0, self._rank,
                 crc=self._integrity))
-        self._drain(timeout=30.0)
+        # Passing the last boundary does not prove our final frames
+        # arrived intact: a peer may still NACK one.  Keep serving the
+        # links until every peer has departed too (its LEFT follows its
+        # last boundary, so no NACK for ours can come after it).
+        self._drain(timeout=30.0, settle=True)
 
     def die(self) -> None:
         for peer in self._peers:
@@ -965,10 +857,13 @@ class _MeshChannel:
                 crc=self._integrity))
         self._drain(timeout=5.0)
 
-    def _drain(self, timeout: float) -> None:
-        """Best-effort flush of every outbound queue."""
+    def _drain(self, timeout: float, *, settle: bool = False) -> None:
+        """Best-effort flush of every outbound queue; with ``settle``,
+        also pump until every peer has departed or its link is gone."""
         deadline = time.monotonic() + timeout
-        while any(self._out.values()) and time.monotonic() < deadline:
+        while (any(self._out.values()) or settle and any(
+                q not in self._departed and q not in self._eof
+                for q in self._peers)) and time.monotonic() < deadline:
             try:
                 self._pump()
             except _Abort:
@@ -988,9 +883,7 @@ class _MeshChannel:
             crc=self._integrity)
         for peer in self._peers:
             if peer not in self._eof:
-                # copy: the shared encode is re-sequenced per peer and
-                # may be replayed after the gather already began.
-                self._post(peer, chunks, copy=True)
+                self._post(peer, chunks)
         self._drain(timeout=30.0)
 
     def gather_results(self, nprocs: int, timeout: float) -> dict[int, Any]:
@@ -1006,16 +899,10 @@ class _MeshChannel:
         return dict(self._results)
 
     def shutdown(self, *, close: bool = True) -> None:
-        # Final counter flush: relaxed-mode beats are throttled while data
-        # traffic proves liveness, so a short run can finish with repair
-        # counters the supervisor never saw.  One unconditional beat here
-        # closes that gap (strict mode already beat at every boundary).
-        if self._ctrl is not None:
-            totals = (sum(l.retransmits for l in self._link.values()),
-                      sum(l.reconnects for l in self._link.values()))
-            if totals != self._hb_sent:
-                self._hb_sent = totals
-                self._ctrl.beat(-1, pickle.dumps(totals))
+        # Final counter flush: repairs made during the last boundary
+        # happened after its beat, so report them before the outcome.
+        if self._ctrl is not None and self._counters() != self._hb_sent:
+            self._beat(-1)
         for peer, mask in list(self._mask.items()):
             if mask and peer in self._socks:
                 try:

@@ -80,7 +80,7 @@ def tune_mesh_socket(sock: socket.socket) -> None:
     """Apply the mesh socket options (B.3's latency/liveness knobs).
 
     ``TCP_NODELAY`` because boundary frames are latency-critical (Nagle
-    would serialize the counts/release handshake); ``SO_KEEPALIVE`` so a
+    would hold back the small empty finals); ``SO_KEEPALIVE`` so a
     peer whose *machine* vanishes — no FIN, no RST — eventually surfaces
     as a dead socket instead of an eternal stall.
     """

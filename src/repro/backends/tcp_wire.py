@@ -7,7 +7,7 @@ This module defines that stream format and nothing else — no sockets, no
 event loop — so it is unit-testable against partial reads, frames split
 at arbitrary byte boundaries, and corrupt or oversized headers.
 
-One wire frame (protocol version 2) is::
+One wire frame (protocol version 3) is::
 
     envelope | header (pickle) | buffer bytes ... | u32 crc32
 
@@ -28,8 +28,10 @@ lens, meta, more)``:
 * ``meta`` — the pickle-5 metadata blob produced by
   :func:`repro.backends.frames.encode_packets` (for packet frames) or a
   small pickled object (for control frames);
-* ``more`` — the relaxed-sync piggyback bit: 0 on the final frame of a
-  (src, step) link, 1 when further frames follow.
+* ``more`` — the completion bit: 0 on the final frame of a (src, step)
+  link, 1 when further frames follow.  The superstep barrier is the
+  arrival of every awaited peer's final frame, so there are no separate
+  barrier frames.
 
 ``seq`` is the per-link sequence number a mesh channel assigns at send
 time (``-1``: unsequenced control-plane frame); ``ack`` piggybacks the
@@ -78,10 +80,10 @@ from ..core.errors import PacketError
 from ..core.packets import Packet
 from .frames import Frame, encode_packets
 
-#: TCP-only frame tags, disjoint from the pipe fabric's 0..3 range
-#: (TAG_PKT/TAG_LEFT/TAG_DEAD/TAG_FENCE in :mod:`repro.backends.frames`).
-TAG_COUNTS = 4      #: barrier phase 1 — "n data frames follow for step s"
-TAG_RELEASE = 5     #: barrier phase 2 — "I have received everything of step s"
+#: TCP-only frame tags, disjoint from the pipe fabric's 0..4 range
+#: (TAG_PKT/TAG_LEFT/TAG_DEAD/TAG_FENCE/TAG_RELEASE in
+#: :mod:`repro.backends.frames`).  4 and 5 are retired: they were the
+#: counts and release rounds of the two-phase barrier of wire version 2.
 TAG_HB = 6          #: heartbeat, rank -> supervisor
 TAG_HELLO = 7       #: control-channel registration, rank -> supervisor
 TAG_RESULT = 8      #: final outcome tuple, rank -> supervisor / rank 0
@@ -96,8 +98,9 @@ TAG_REMESH = 13     #: supervisor -> rank: rebuild the mesh at a new epoch
 TAG_CORRUPT = -1
 
 #: Protocol version carried in every envelope; a mismatch is structural
-#: corruption (or an old peer) and resets the link.
-WIRE_VERSION = 2
+#: corruption (or an old peer) and resets the link.  Version 3 is the
+#: one-round boundary; a version-2 rank (two-phase barrier) cannot join.
+WIRE_VERSION = 3
 
 #: Envelope flag: the trailing CRC32 was actually computed (cleared when
 #: integrity is disabled for measurement, in which case the trailer is 0
@@ -164,8 +167,8 @@ def encode_frame(tag: int, run_id: int, step: int, src: int,
     the list to a vectored/queued send without ever concatenating
     payload bytes.
 
-    ``more`` is the relaxed-sync piggyback bit: 0 marks the final frame
-    from ``src`` on this link for this superstep, 1 means more follow.
+    ``more`` is the completion bit: 0 marks the final frame from ``src``
+    on this link for this superstep, 1 means more follow.
     ``seq``/``ack`` are the link-sequencing envelope fields (see module
     docstring); ``crc=False`` skips checksum computation entirely (the
     trailer is written as 0 with :data:`FLAG_CRC` cleared) for
@@ -186,7 +189,7 @@ def reenvelope(chunks: Sequence[Any], seq: int, ack: int) -> list[Any]:
     """Re-address an encoded frame with fresh ``seq``/``ack`` fields.
 
     The CRC trailer intentionally excludes the envelope, so one encoded
-    payload (an empty relaxed-mode final, a broadcast result) can be
+    payload (an empty boundary final, a broadcast result) can be
     re-sequenced per peer by rebuilding only the small first chunk —
     header and payload bytes are shared untouched.
     """

@@ -305,10 +305,11 @@ class Bsp:
             agent.write(self._step, self._pid, self._nprocs, capture(),
                         list(self._inbox), self._ledger.samples[:-1])
         # A checkpoint cut must be a consistent global state: fence the
-        # next boundary back to the strict two-phase barrier so no peer
-        # runs ahead across the cut.  Checkpoint spacing is deterministic
-        # (same ``checkpoint_every`` on every pid), so all ranks fence
-        # the same boundary.  No-op for channels without sync modes.
+        # next boundary to a full all-to-all (a frame on every link, even
+        # under elide) so every rank hears from every peer at the cut.
+        # Checkpoint spacing is deterministic (same ``checkpoint_every``
+        # on every pid), so all ranks fence the same boundary.  No-op
+        # for channels without sync modes.
         fence = getattr(self._channel, "fence_next_sync", None)
         if fence is not None:
             fence()

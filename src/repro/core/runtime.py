@@ -97,12 +97,13 @@ def bsp_run(
         crashed attempt.
     sync:
         Synchronization mode of the exchange protocol — ``"strict"``
-        (the default two-phase barrier), ``"relaxed"`` (per-link
-        completion piggybacked on the data frames, run-ahead bounded to
-        one superstep), or ``"elide"`` (relaxed plus skipping the empty
-        frames of peers outside a pattern declared with
-        ``bsp.pattern(...)``).  Results and (S, H, h) ledgers are
-        bit-identical across modes; only the barrier cost differs.
+        (the default: one frame per link, the all-to-all is the
+        barrier), ``"relaxed"`` (per-link completion, run-ahead bounded
+        to one superstep; on TCP the same protocol as strict), or
+        ``"elide"`` (relaxed plus skipping the empty frames of peers
+        outside a pattern declared with ``bsp.pattern(...)``).  Results
+        and (S, H, h) ledgers are bit-identical across modes; only the
+        barrier cost differs.
     checkpoint:
         A :class:`~repro.checkpoint.CheckpointConfig`, or ``None`` (no
         checkpointing).  The program opts in by calling

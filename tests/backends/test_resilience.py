@@ -20,6 +20,7 @@ Three layers of the robustness contract (DESIGN "Failure-mode matrix"):
   ``integrity=False`` switches the whole protection layer off.
 """
 
+import pickle
 import socket
 import time
 
@@ -32,7 +33,7 @@ from repro import CheckpointConfig, DiskCheckpointStore, PacketError
 from repro import faults
 from repro.backends import tcp_wire as wire
 from repro.backends.frames import TAG_PKT
-from repro.backends.tcp import TcpBackend
+from repro.backends.tcp import TcpBackend, _LinkState, _MeshChannel
 from repro.backends.tcp_launch import bind_listener, fold_token, rendezvous_fabric
 from repro.core.errors import SynchronizationError, WorkerCrashError
 from repro.core.machines import MachineProfile
@@ -326,6 +327,38 @@ class TestSatellites:
         assert run.results == [[(1, 0), (1, 1)], [(0, 0), (0, 1)]]
         assert health.retransmits == 0
         assert health.reconnects == 0
+
+    def test_default_sync_repair_reaches_health_after_run(self):
+        # A NACK repair on the very last boundary under default sync:
+        # the sender must stay to answer the NACK after passing that
+        # boundary, and the repair must reach health() with the result.
+        plan = faults.FaultPlan([
+            faults.Fault(faults.CORRUPT_FRAME, pid=1, step=2, arg=0)])
+        with _chaos_pool(2, plan) as backend:
+            run = backend.run(ring_program, 2, args=(3,))
+            health = backend.health()
+        assert run.results == [[(1, 0), (1, 1), (1, 2)],
+                               [(0, 0), (0, 1), (0, 2)]]
+        assert health.retransmits >= 1
+
+    def test_busy_beat_never_skips_a_counter_change(self):
+        class Ctrl:
+            def __init__(self):
+                self.beats = []
+
+            def beat(self, step, meta=None):
+                self.beats.append((step, meta))
+
+        ctrl, link = Ctrl(), _LinkState()
+        channel = _MeshChannel(0, 2, {}, 0, ctrl, links={1: link},
+                               heartbeat_interval=60.0)
+        channel._data_beats = 1   # busy, counters flat: beat skipped
+        channel._beat(0)
+        link.retransmits = 1
+        channel._data_beats = 1   # busy, but a repair happened
+        channel._beat(1)
+        channel.shutdown(close=False)
+        assert ctrl.beats == [(-1, None), (1, pickle.dumps((1, 0)))]
 
     def test_health_exposes_repair_counters(self):
         plan = faults.FaultPlan([

@@ -16,13 +16,15 @@ the program observes.  Exercised here:
   over it), while a slow-but-beating program stays a plain
   :class:`SynchronizationError`;
 * crash-mid-superstep recovery under checkpointing reproduces the
-  golden run in relaxed mode (the checkpoint cut falls back to a strict
-  fence, so a resumed run restarts from a fully quiesced boundary);
+  golden run in relaxed mode (the checkpoint cut fences the next
+  boundary onto every link, so a resumed run restarts from a fully
+  quiesced boundary);
 * the per-mode wire-frame budgets on empty supersteps, counted by a
   :class:`~repro.faults.FrameCounter` at the actual send sites: pipes
-  send **zero** frames in relaxed/elide, TCP relaxed sends exactly one
-  empty-final per live link per boundary, and TCP elide with a declared
-  empty pattern sends nothing at all (full barrier elision);
+  send **zero** frames in relaxed/elide, TCP strict and relaxed send
+  exactly one empty-final per live link per boundary, and TCP elide
+  with a declared empty pattern sends nothing at all (full barrier
+  elision);
 * an out-of-pattern send under a validating declaration fails loudly at
   the next boundary instead of deadlocking the receiver.
 """
@@ -297,8 +299,7 @@ class TestEmptySuperstepFrameBudgets:
     ========== ======================== =====
     processes  strict                   p·(p−1)·rounds (one per link)
     processes  relaxed / elide          0 (inline epoch publish)
-    tcp        strict                   2·p·(p−1)·rounds (counts+release)
-    tcp        relaxed                  p·(p−1)·rounds (one empty-final)
+    tcp        strict / relaxed         p·(p−1)·rounds (one empty-final)
     tcp        elide, empty pattern     0 (full barrier elision)
     ========== ======================== =====
     """
@@ -316,8 +317,9 @@ class TestEmptySuperstepFrameBudgets:
                              self.P, self.ROUNDS) == 0
 
     def test_tcp_strict_baseline(self):
+        # One round: the empty finals are the barrier, as on pipes strict.
         assert _count_frames("tcp", "strict", empty_steps,
-                             self.P, self.ROUNDS) == 2 * self.LINKS
+                             self.P, self.ROUNDS) == self.LINKS
 
     def test_tcp_relaxed_one_final_per_link(self):
         assert _count_frames("tcp", "relaxed", empty_steps,

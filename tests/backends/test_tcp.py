@@ -113,19 +113,19 @@ class TestFrameDecoder:
 
     def test_several_frames_in_one_chunk(self):
         blob = b"".join(
-            _flatten(wire.encode_frame(wire.TAG_RELEASE, 1, s, 0))
+            _flatten(wire.encode_frame(wire.TAG_HB, 1, s, 0))
             for s in range(4))
         frames = wire.FrameDecoder().feed(blob)
         assert [f.step for f in frames] == [0, 1, 2, 3]
 
     def test_split_straddling_two_frames(self):
-        a = _flatten(wire.encode_frame(wire.TAG_COUNTS, 1, 0, 0,
-                                       pickle.dumps(1)))
+        a = _flatten(wire.encode_frame(wire.TAG_HB, 1, 0, 0,
+                                       pickle.dumps((1, 0))))
         b = _flatten(wire.encode_packet_frame(1, 0, 0, _sample_packets()))
         dec = wire.FrameDecoder()
         cut = len(a) + 3  # mid-prefix of the second frame
         first = dec.feed((a + b)[:cut])
-        assert [f.tag for f in first] == [wire.TAG_COUNTS]
+        assert [f.tag for f in first] == [wire.TAG_HB]
         assert dec.mid_frame
         second = dec.feed((a + b)[cut:])
         assert [f.tag for f in second] == [TAG_PKT]
@@ -156,8 +156,30 @@ class TestFrameDecoder:
         with pytest.raises(PacketError, match="version"):
             wire.FrameDecoder().feed(body + bytes((echk,)))
 
+    def test_two_phase_version_2_rejected(self):
+        # A rank still running the two-phase barrier (wire version 2)
+        # must never share a mesh with a one-round rank.
+        assert wire.WIRE_VERSION == 3
+        body = wire._ENV_BODY.pack(2, 0, -1, -1, 8)
+        echk = 0
+        for byte in body:
+            echk ^= byte
+        with pytest.raises(PacketError, match="version 2"):
+            wire.FrameDecoder().feed(body + bytes((echk,)))
+
+    def test_retired_barrier_tags_stay_unused(self):
+        # 4 and 5 were the two-phase counts/release tags; TCP tags stay
+        # disjoint from the pipe fabric's (frames.TAG_RELEASE is 4).
+        from repro.backends import frames
+        tcp_tags = {v for k, v in vars(wire).items()
+                    if k.startswith("TAG_") and v >= 0}
+        pipe_tags = {v for k, v in vars(frames).items()
+                     if k.startswith("TAG_")}
+        assert not tcp_tags & pipe_tags
+        assert not tcp_tags & {4, 5}
+
     def test_flipped_envelope_bit_rejected(self):
-        good = _flatten(wire.encode_frame(wire.TAG_RELEASE, 1, 0, 0))
+        good = _flatten(wire.encode_frame(wire.TAG_HB, 1, 0, 0))
         bad = bytes([good[0] ^ 0x40]) + good[1:]
         with pytest.raises(PacketError, match="envelope"):
             wire.FrameDecoder().feed(bad)
