@@ -861,9 +861,9 @@ class _MeshChannel:
         """Best-effort flush of every outbound queue; with ``settle``,
         also pump until every peer has departed or its link is gone."""
         deadline = time.monotonic() + timeout
-        while (any(self._out.values()) or settle and any(
+        while (any(self._out.values()) or (settle and any(
                 q not in self._departed and q not in self._eof
-                for q in self._peers)) and time.monotonic() < deadline:
+                for q in self._peers))) and time.monotonic() < deadline:
             try:
                 self._pump()
             except _Abort:

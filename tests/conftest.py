@@ -10,6 +10,7 @@ it owns the mark and this watchdog stands aside.
 """
 
 import faulthandler
+import math
 import signal
 import sys
 
@@ -36,7 +37,7 @@ def _budget(item) -> int | None:
                                 marker.args[0] if marker.args else None)
     if seconds is None or seconds <= 0:
         return None
-    return max(1, int(seconds + 0.999))
+    return math.ceil(seconds)  # signal.alarm takes whole seconds
 
 
 @pytest.hookimpl(hookwrapper=True)
