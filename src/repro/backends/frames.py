@@ -8,9 +8,11 @@ payload copy per packet — each per-destination bucket crosses the process
 boundary as **one frame**:
 
 * a small pickled *header* ``(tag, run_id, step, src, mode, buffer
-  lengths, slab offset, meta, more, extra)`` — one pipe message per
-  frame; ``extra`` carries the zero-copy plane's lease entries and
-  piggybacked lease releases (``None`` for purely small frames);
+  lengths, meta, more, extra)`` — one pipe message per frame, followed
+  by the 8-byte slab offset for slab frames (``pickle.loads`` ignores
+  trailing bytes); ``extra`` carries the zero-copy plane's lease
+  entries and piggybacked lease releases (``None`` for purely small
+  frames);
 * the *meta* blob riding the header: the packets' ``seq``/``h`` arrays
   plus their payloads, serialized once with pickle protocol 5 so that
   large contiguous buffers (NumPy halos, Cannon blocks, essential trees)
@@ -50,6 +52,15 @@ consumed in exactly allocation order and the receiver frees by bumping
 head past each consumed frame — padding skipped at the wrap point is
 reclaimed implicitly.
 
+Sending is split in two.  :meth:`FrameTransport.prepare_packets` does
+everything that cannot block — fault hooks, encoding, zero-copy leases,
+the header pickle — and returns an :class:`Outgoing`.
+:meth:`FrameTransport.commit` writes it under the destination lock;
+``commit(out, block=False)`` writes only when nothing can block (lock
+free, slab room, pipe room) and otherwise writes nothing and returns
+``False``, so the boundary can post small frames from the computing
+thread and leave only frames that could block to a helper thread.
+
 Everything here is transport: h-unit accounting is carried through
 byte-for-byte (``seq`` and ``h`` ride the frame metadata), so ledgers are
 identical to the per-packet implementation's.
@@ -59,12 +70,19 @@ from __future__ import annotations
 
 import mmap
 import pickle
+import struct
 import sys
 import time
 from dataclasses import dataclass
 from typing import Any, Sequence
 
 import numpy as np
+
+try:  # pipe-room probes (Linux); elsewhere commit(block=False) hands off
+    from fcntl import F_GETPIPE_SZ, fcntl, ioctl
+    from termios import FIONREAD
+except ImportError:  # pragma: no cover - non-Linux
+    F_GETPIPE_SZ = None
 
 from .. import faults
 from ..core.errors import SynchronizationError
@@ -86,6 +104,13 @@ _DATA_OFF = 64
 
 #: Default slab capacity per destination processor.
 DEFAULT_SLAB_BYTES = 64 << 20
+
+#: Room a drained slab keeps below its position before it rewinds to
+#: physical 0 (see :meth:`Slab.try_alloc`).
+_REWIND_RESERVE = 256 << 10
+
+#: Slab offset suffix of a slab frame's header message.
+_START = struct.Struct("<Q")
 
 
 def _aligned(n: int) -> int:
@@ -164,6 +189,43 @@ class Slab:
 
     # -- sender side (destination lock held) -------------------------------
 
+    def try_alloc(self, nbytes: int) -> int | None:
+        """Reserve ``nbytes`` contiguous bytes without waiting.
+
+        Returns the logical offset, or ``None`` when the ring lacks room
+        right now.  A drained ring (``head == tail``) restarts at
+        physical 0, by padding to the wrap point, once the frame plus
+        :data:`_REWIND_RESERVE` fit below the current position: a steady
+        stream of small frames then keeps reusing the ring's first pages
+        instead of walking (and keeping resident) the whole capacity.
+        The padding counts as used until the receiver consumes the
+        rewound frame, leaving other senders only the room below the old
+        position meanwhile; the reserve keeps that room from starving
+        them (rewinding at any position slowed relaxed ocean-66 at p=4
+        by 1.8x).
+        """
+        tail = self._ctrl[1]
+        head = self._ctrl[0]
+        phys = tail % self.capacity
+        room_to_end = self.capacity - phys
+        rewind = head == tail and \
+            nbytes + min(self.max_frame, _REWIND_RESERVE) <= phys
+        pad = room_to_end if rewind or nbytes > room_to_end else 0
+        need = nbytes + pad
+        if need > self.capacity:
+            # Even a fully drained ring holds at most ``capacity`` bytes,
+            # so waiting could never succeed: fail fast instead of
+            # spinning out the whole timeout.  prepare_packets() keeps
+            # this unreachable by capping slab frames at ``max_frame``.
+            raise ValueError(
+                f"frame of {nbytes} bytes (+{pad} wrap padding) can never "
+                f"fit the {self.capacity}-byte slab; frames over "
+                f"max_frame={self.max_frame} bytes must use the pipe path")
+        if head + self.capacity - tail < need:
+            return None
+        self._ctrl[1] = tail + need
+        return tail + pad
+
     def alloc(self, nbytes: int) -> int:
         """Reserve ``nbytes`` contiguous bytes; returns the logical offset.
 
@@ -171,22 +233,10 @@ class Slab:
         frees space as it drains its pipe, which it is guaranteed to be
         doing whenever senders are pushing boundary frames.
         """
-        tail = self._ctrl[1]
-        room_to_end = self.capacity - (tail % self.capacity)
-        pad = 0 if nbytes <= room_to_end else room_to_end
-        need = nbytes + pad
-        if need > self.capacity:
-            # Even a fully drained ring holds at most ``capacity`` bytes,
-            # so waiting could never succeed: fail fast instead of
-            # spinning out the whole timeout.  send_packets() keeps this
-            # unreachable by capping slab frames at ``max_frame``.
-            raise ValueError(
-                f"frame of {nbytes} bytes (+{pad} wrap padding) can never "
-                f"fit the {self.capacity}-byte slab; frames over "
-                f"max_frame={self.max_frame} bytes must use the pipe path")
+        offset = self.try_alloc(nbytes)
         deadline = None
         spins = 0
-        while self._ctrl[0] + self.capacity - tail < need:
+        while offset is None:
             if deadline is None:
                 deadline = time.monotonic() + self._spin_timeout
             elif time.monotonic() > deadline:
@@ -195,8 +245,8 @@ class Slab:
                     "draining its boundary exchange?)")
             spins += 1
             time.sleep(0 if spins < 32 else 0.0001)
-        self._ctrl[1] = tail + need
-        return tail + pad
+            offset = self.try_alloc(nbytes)
+        return offset
 
     def write(self, offset: int, buf: Any) -> None:
         phys = offset % self.capacity
@@ -323,12 +373,43 @@ def decode_packets(meta: bytes, buffers: list[bytearray] | None,
     return Frame(TAG_PKT, 0, 0, src, meta, buffers).packets(dst)
 
 
+@dataclass(slots=True)
+class Outgoing:
+    """One prepared frame: encoded, leased and pickled; not yet written.
+
+    ``slab_bytes`` is the aligned slab reservation the commit makes
+    (0 for pipe-mode frames, whose ``buffers`` follow the header as their
+    own pipe messages); ``wire_bytes`` is what the commit puts in the
+    pipe, length prefixes included.
+    """
+
+    dst: int
+    body: bytes
+    buffers: list
+    lens: tuple
+    slab_bytes: int
+    wire_bytes: int
+
+
+_INT_ZERO = bytes(4)
+
+
+def _pipe_size(conn) -> int:
+    """Capacity of the pipe behind ``conn`` in bytes (0 if unknown)."""
+    if F_GETPIPE_SZ is None:
+        return 0
+    try:
+        return fcntl(conn.fileno(), F_GETPIPE_SZ)
+    except OSError:  # pragma: no cover - not a pipe
+        return 0
+
+
 class FrameTransport:
     """All-to-all frame fabric: per-pid pipe + writer lock + shared slab.
 
     Created by the parent before forking; every worker inherits the whole
     fabric and uses ``recv_conns[pid]``/``slabs[pid]`` as its inbound side
-    and ``send(dst, ...)`` (lock-protected) for outbound frames.
+    and ``prepare_*``/``commit`` (lock-protected) for outbound frames.
     """
 
     def __init__(self, nprocs: int, ctx, *,
@@ -370,6 +451,9 @@ class FrameTransport:
             r, w = ctx.Pipe(duplex=False)
             self._recv_conns.append(r)
             self._send_conns.append(w)
+        #: Per-destination pipe capacity in bytes; 0 where it cannot be
+        #: measured, which makes every non-blocking commit hand off.
+        self._pipe_sizes = [_pipe_size(w) for w in self._send_conns]
         # -- zero-copy data plane (repro.backends.shm) ----------------------
         # Env knobs are read here, in the parent, before forking, so every
         # worker of one fabric agrees on them.
@@ -570,43 +654,61 @@ class FrameTransport:
 
     # -- sending ------------------------------------------------------------
 
+    def _control(self, dst: int, tag: int, run_id: int, src: int,
+                 step: int = -1, extra: Any = None) -> Outgoing:
+        body = pickle.dumps(
+            (tag, run_id, step, src, _MODE_PIPE, (), None, 0, extra))
+        return Outgoing(dst, body, [], (), 0, len(body) + 4)
+
     def send_control(self, dst: int, tag: int, run_id: int, src: int,
                      step: int = -1) -> None:
-        header = pickle.dumps(
-            (tag, run_id, step, src, _MODE_PIPE, (), 0, None, 0, None))
-        with self._locks[dst]:
-            self._send_conns[dst].send_bytes(header)
+        self.commit(self._control(dst, tag, run_id, src, step))
+
+    def prepare_release(self, dst: int, run_id: int, src: int,
+                        lease_ids: Sequence[int]) -> Outgoing:
+        """A control frame returning lease ids to segment owner ``dst``.
+
+        Only used when no data frame to ``dst`` is owed this boundary
+        (relaxed sync with an empty bucket, or an owner outside this
+        run); otherwise releases piggyback on the boundary frame.
+        """
+        return self._control(dst, TAG_RELEASE, run_id, src,
+                             extra=tuple(lease_ids))
 
     def send_release(self, dst: int, run_id: int, src: int,
                      lease_ids: Sequence[int]) -> None:
-        """Return lease ids to segment owner ``dst`` on a control frame.
-
-        Only used when no data frame to ``dst`` is owed this boundary
-        (relaxed sync with an empty bucket); otherwise releases piggyback
-        on the boundary frame for free.
-        """
-        header = pickle.dumps(
-            (TAG_RELEASE, run_id, -1, src, _MODE_PIPE, (), 0, None, 0,
-             tuple(lease_ids)))
-        with self._locks[dst]:
-            self._send_conns[dst].send_bytes(header)
+        self.commit(self.prepare_release(dst, run_id, src, lease_ids))
 
     def send_packets(self, dst: int, run_id: int, step: int, src: int,
                      packets: Sequence[Packet], *, more: int = 0,
                      releases: Sequence[int] = ()) -> None:
+        out = self.prepare_packets(dst, run_id, step, src, packets,
+                                   more=more, releases=releases)
+        if out is not None:
+            self.commit(out)
+
+    def prepare_packets(self, dst: int, run_id: int, step: int, src: int,
+                        packets: Sequence[Packet], *, more: int = 0,
+                        releases: Sequence[int] = ()) -> Outgoing | None:
+        """Everything of a send that cannot block; ``None`` when an
+        injected DROP_FRAME swallows the frame.
+
+        Raises whatever pickling the payloads raises, before anything
+        reaches the wire.
+        """
         # Fault-injection hook: one attribute load + None test per frame
         # (never per packet) when disabled.
         plan = faults._ACTIVE
         if plan is not None:
             if plan.drops_frame(src, step, dst):
-                return
+                return None
             plan.count_frame(src)
         meta, buffers = encode_packets(packets)
         # Zero-copy placement: buffers at or above the threshold go into
         # leased shared-memory regions (one sender memcpy, no receiver
         # copy); the frame carries only (index, name, offset, nbytes,
-        # lease id).  Leasing happens before the destination lock — the
-        # pool belongs to this sender alone.
+        # lease id).  The pool belongs to this sender alone, so leasing
+        # needs no destination lock.
         entries: tuple = ()
         rel = tuple(releases)
         extra = None
@@ -651,26 +753,78 @@ class FrameTransport:
         lens = tuple(mv.nbytes for mv in buffers)
         total = sum(map(_aligned, lens))
         slab = self._slabs[dst]
-        use_slab = slab is not None and 0 < total <= slab.max_frame
-        conn = self._send_conns[dst]
-        # The header carries the (small) meta blob too: one pipe message —
-        # hence one reader wake-up — per slab frame.
-        with self._locks[dst]:
-            if use_slab:
-                start = slab.alloc(total)
+        if slab is not None and 0 < total <= slab.max_frame:
+            # The header carries the (small) meta blob too: one pipe
+            # message — hence one reader wake-up — per slab frame.
+            body = pickle.dumps(
+                (TAG_PKT, run_id, step, src, _MODE_SLAB, lens, meta, more,
+                 extra))
+            return Outgoing(dst, body, buffers, lens, total,
+                            len(body) + _START.size + 4)
+        body = pickle.dumps(
+            (TAG_PKT, run_id, step, src, _MODE_PIPE, lens, meta, more, extra))
+        return Outgoing(dst, body, buffers, lens, 0,
+                        len(body) + 4 + sum(n + 4 for n in lens))
+
+    def _pipe_has_room(self, dst: int, nbytes: int) -> bool:
+        """True when writing ``nbytes`` more to ``dst``'s pipe cannot block.
+
+        A pipe is a ring of page-sized slots, and a write only blocks
+        when every slot is taken.  Small writes merge into the last
+        slot while they fit, so any two neighbouring slots hold at least
+        a page between them: at most ``2 * queued / PAGESIZE + 3`` slots
+        are in use (the +3 being the partly read head, the last slot and
+        an odd one out), and a write of ``n`` bytes takes at most
+        ``n / PAGESIZE + 1`` more.  Call with the destination lock held:
+        the reader only ever drains, so the check stays true until our
+        write.
+        """
+        size = self._pipe_sizes[dst]
+        if not size:
+            return False
+        queued = int.from_bytes(
+            ioctl(self._send_conns[dst].fileno(), FIONREAD, _INT_ZERO),
+            sys.byteorder, signed=True)
+        return 2 * (queued + nbytes) + 4 * mmap.PAGESIZE <= size
+
+    def commit(self, out: Outgoing, *, block: bool = True) -> bool:
+        """Write a prepared frame under its destination lock.
+
+        ``block=False`` writes only when nothing can block — the lock is
+        free, the slab has room now and the pipe has room for the whole
+        frame — and otherwise writes nothing and returns ``False``.
+        """
+        dst = out.dst
+        lock = self._locks[dst]
+        if not lock.acquire(block):
+            return False
+        try:
+            slab = self._slabs[dst]
+            start = 0
+            if block:
+                if out.slab_bytes:
+                    start = slab.alloc(out.slab_bytes)
+            else:
+                if not self._pipe_has_room(dst, out.wire_bytes):
+                    return False
+                if out.slab_bytes:
+                    start = slab.try_alloc(out.slab_bytes)
+                    if start is None:
+                        return False
+            conn = self._send_conns[dst]
+            if out.slab_bytes:
                 offset = start
-                for mv, n in zip(buffers, lens):
+                for mv, n in zip(out.buffers, out.lens):
                     slab.write(offset, mv)
                     offset += _aligned(n)
-                conn.send_bytes(pickle.dumps(
-                    (TAG_PKT, run_id, step, src, _MODE_SLAB, lens, start,
-                     meta, more, extra)))
+                conn.send_bytes(out.body + _START.pack(start))
             else:
-                conn.send_bytes(pickle.dumps(
-                    (TAG_PKT, run_id, step, src, _MODE_PIPE, lens, 0, meta,
-                     more, extra)))
-                for mv in buffers:
+                conn.send_bytes(out.body)
+                for mv in out.buffers:
                     conn.send_bytes(mv)
+            return True
+        finally:
+            lock.release()
 
     # -- receiving ----------------------------------------------------------
 
@@ -692,8 +846,9 @@ class FrameTransport:
         discarding a stale frame (old ``run_id``) cannot leak ring space.
         """
         conn = self._recv_conns[pid]
-        (tag, run_id, step, src, mode, lens, start, meta, more,
-         extra) = pickle.loads(conn.recv_bytes())
+        raw = conn.recv_bytes()
+        tag, run_id, step, src, mode, lens, meta, more, extra = \
+            pickle.loads(raw)
         if tag == TAG_RELEASE:
             # Lease ids coming home: applied at transport level, whatever
             # run they belong to — ids are monotonic and unknown ids are
@@ -709,7 +864,7 @@ class FrameTransport:
         if mode == _MODE_SLAB:
             slab = self._slabs[pid]
             assert slab is not None
-            offset = start
+            (offset,) = _START.unpack_from(raw, len(raw) - _START.size)
             for n in lens:
                 buf = pool.take(n)
                 slab.read_into(offset, n, buf)

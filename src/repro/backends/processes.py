@@ -10,10 +10,15 @@ received the boundary frame of every live peer.  Frames are the batched
 zero-copy representation of :mod:`~repro.backends.frames`: per-bucket
 ``seq``/``h`` metadata plus protocol-5 out-of-band payload buffers moved
 through a fork-shared slab ring, so a bucket of NumPy halos crosses the
-boundary with two memcpys instead of a pickle stream per packet.  Sends
-are issued in the :func:`~repro.backends.exchange.peer_order` of the
-precomputed total-exchange pairing schedule, the TCP version's
-deadlock-avoidance discipline (B.3).
+boundary with two memcpys instead of a pickle stream per packet.  As in
+B.2, where each process posts its own Isend/Irecv pairs, the worker
+posts its frames from its own thread, in the
+:func:`~repro.backends.exchange.peer_order` of the precomputed
+total-exchange pairing schedule, with writes that cannot block; only a
+frame that could block (destination lock held, slab or pipe full) is
+handed to a helper sender thread, which writes it while the worker
+keeps draining its own pipe — the TCP version's deadlock-avoidance
+discipline (B.3).
 
 Like the thread backend's vanishing barrier, a processor that finishes
 sends a departure sentinel so peers stop waiting for it; mismatched
@@ -99,6 +104,7 @@ from .frames import (
     TAG_LEFT,
     TAG_PKT,
     FrameTransport,
+    Outgoing,
 )
 
 #: How much of each slab a persistent pool commits up-front (the rest of
@@ -115,13 +121,13 @@ class _Abort(BaseException):
 class _FrameChannel:
     """Superstep-boundary exchange over the shared frame transport.
 
-    ``sync`` selects the boundary protocol.  **strict** (default): push
+    ``sync`` selects the boundary protocol.  **strict** (default): post
     one frame per peer (empty buckets included — the all-to-all is the
     barrier) and block until every live peer's frame arrived.
-    **relaxed**: push frames only for non-empty buckets, then pass the
+    **relaxed**: post frames only for non-empty buckets, then pass the
     boundary once every live peer's *epoch word* in the fork-shared
-    transport shows it completed this boundary — the pipe ``write()``
-    returns before the owner publishes its epoch, so an observed epoch
+    transport shows it completed this boundary — an epoch is published
+    only after its owner's last pipe write, so an observed epoch
     guarantees that peer's frames are already drainable; empty
     supersteps cost zero frames.  **elide**: like relaxed, but with a
     declared :class:`~repro.bsplib.CommPattern` the wait covers only
@@ -129,6 +135,18 @@ class _FrameChannel:
     Run-ahead is bounded to one superstep in every mode (a peer cannot
     start superstep ``s+1`` before observing this worker's boundary-``s``
     completion), which is what ``_stash`` absorbs.
+
+    Every mode posts its frames the same way (:meth:`_post`), like the
+    paper's MPI version posting its sends from the computing process:
+    all frames are prepared first (encoding errors surface here, before
+    anything is written), then committed inline in ``peer_order`` with
+    non-blocking writes.  The first frame that could block — destination
+    lock held, slab full, pipe full — and every frame after it go to a
+    helper sender thread that writes them with blocking writes while
+    this thread drains its own pipe, so two peers pushing large frames
+    at each other cannot deadlock (Appendix B.3: "receivers [must]
+    actively empty the pipe").  Small-frame boundaries never involve the
+    sender thread, and it is only started on the first hand-off.
     """
 
     def __init__(self, pid: int, nprocs: int, transport: FrameTransport,
@@ -151,15 +169,13 @@ class _FrameChannel:
         self._departed: set[int] = set()
         #: Early arrivals from peers already one superstep ahead.
         self._stash: dict[int, dict[int, list[Packet]]] = {}
-        # Persistent sender thread, fed one request per superstep (thread
-        # start-up per sync is measurable on small machines).  Daemonic: if
-        # we abort because a peer died, an in-flight send may be stuck on a
-        # frame nobody will ever drain; the thread must not keep the
-        # process alive then.
+        # Persistent sender thread, started on the first hand-off and fed
+        # one request per handing-off boundary.  Daemonic: if we abort
+        # because a peer died, an in-flight write may be stuck on a frame
+        # nobody will ever drain; the thread must not keep the process
+        # alive then.
         self._cv = threading.Condition()
-        self._req: tuple[int, dict[int, list[Packet]],
-                         Sequence[int], int | None,
-                         dict[int, list[int]]] | None = None
+        self._req: tuple[int, list[Outgoing], int | None] | None = None
         self._stop = False
         self._push_error: list[BaseException] = []
         self._sender: threading.Thread | None = None
@@ -172,7 +188,29 @@ class _FrameChannel:
         """Run the next boundary on the strict protocol (checkpoint cut)."""
         self._fence_strict = True
 
-    # -- sender thread -------------------------------------------------------
+    # -- posting -------------------------------------------------------------
+
+    def _publish(self, step: int, epoch: int) -> None:
+        """Publish this worker's relaxed epoch (after its last write)."""
+        plan = faults._ACTIVE
+        if plan is not None and plan.drops_any_frame(self._pid, step):
+            self._epoch_frozen = True
+        if not self._epoch_frozen:
+            self._transport.set_epoch(self._pid, epoch, self._nprocs)
+
+    def _post(self, step: int, frames: list[Outgoing],
+              epoch: int | None) -> bool:
+        """Commit ``frames`` inline until one would block; hand the rest
+        to the sender thread.  ``epoch`` (relaxed) is published after the
+        last write, by whichever thread makes it.  True on a hand-off."""
+        commit = self._transport.commit
+        for i, out in enumerate(frames):
+            if not commit(out, block=False):
+                self._send_async(step, frames[i:], epoch)
+                return True
+        if epoch is not None:
+            self._publish(step, epoch)
+        return False
 
     def _sender_loop(self) -> None:
         transport, run_id = self._transport, self._run_id
@@ -182,13 +220,11 @@ class _FrameChannel:
                     self._cv.wait()
                 if self._req is None:
                     return
-                step, buckets, targets, epoch, releases = self._req
+                step, frames, epoch = self._req
             try:
-                for peer in targets:
-                    transport.send_packets(
-                        peer, run_id, step, self._pid, buckets.get(peer, ()),
-                        releases=releases.get(peer, ()))
-            except BaseException as exc:  # e.g. an unpicklable payload
+                for out in frames:
+                    transport.commit(out)
+            except BaseException as exc:  # e.g. slab timeout, broken pipe
                 self._push_error.append(exc)
                 # Fail fast: wake every peer (and ourselves) so nobody
                 # blocks on a frame that will never arrive.
@@ -202,30 +238,20 @@ class _FrameChannel:
                     pass
             else:
                 if epoch is not None:
-                    # Relaxed boundary: the epoch is published *here*,
-                    # right after the last pipe write, so an observed
-                    # epoch guarantees the frames are drainable.
-                    plan = faults._ACTIVE
-                    if plan is not None and plan.drops_any_frame(
-                            self._pid, step):
-                        self._epoch_frozen = True
-                    if not self._epoch_frozen:
-                        transport.set_epoch(self._pid, epoch, self._nprocs)
+                    self._publish(step, epoch)
             with self._cv:
                 self._req = None
                 self._cv.notify_all()
 
-    def _send_async(self, step: int, buckets: dict[int, list[Packet]],
-                    targets: Sequence[int], *,
-                    epoch: int | None = None,
-                    releases: dict[int, list[int]] | None = None) -> None:
+    def _send_async(self, step: int, frames: list[Outgoing],
+                    epoch: int | None) -> None:
         if self._sender is None:
             self._sender = threading.Thread(
                 target=self._sender_loop, name=f"bsp-send-{self._pid}",
                 daemon=True)
             self._sender.start()
         with self._cv:
-            self._req = (step, buckets, targets, epoch, releases or {})
+            self._req = (step, frames, epoch)
             self._cv.notify_all()
 
     def _send_wait(self) -> None:
@@ -245,86 +271,64 @@ class _FrameChannel:
         # Heartbeat: one bump per superstep boundary makes "slow but
         # alive" visible to the supervisor; a flat counter past the stall
         # window is what distinguishes a deadlock from a long superstep.
-        self._transport.beat(self._pid)
+        transport, run_id, pid = self._transport, self._run_id, self._pid
+        transport.beat(pid)
         # Fault-injection hook — one attribute load + None test when off.
         plan = faults._ACTIVE
         if plan is not None:
-            plan.at_boundary(self._pid, step, self._nprocs, outbox)
+            plan.at_boundary(pid, step, self._nprocs, outbox)
         # Zero-copy lease upkeep: reap inbound leases whose payloads the
         # program dropped; their ids ride home piggybacked on this
-        # boundary's outgoing frames (strict mode always owes one frame
-        # per peer, so releases are free).  TORN_LEASE discards them —
-        # the owner's pool must grow, never alias.
-        releases = self._transport.collect_releases(
-            self._pid,
-            discard=plan is not None and plan.tears_lease(self._pid, step))
-        if plan is not None and plan.leaks_segment(self._pid, step):
-            self._transport.leak_segment(self._pid)
+        # boundary's outgoing frames.  TORN_LEASE discards them — the
+        # owner's pool must grow, never alias.
+        releases = transport.collect_releases(
+            pid, discard=plan is not None and plan.tears_lease(pid, step))
+        if plan is not None and plan.leaks_segment(pid, step):
+            transport.leak_segment(pid)
         buckets: dict[int, list[Packet]] = {}
         for pkt in outbox:
             buckets.setdefault(pkt.dst, []).append(pkt)
         if self._pattern is not None:
-            check_pattern_sends(self._pid, step, buckets, self._pattern)
+            check_pattern_sends(pid, step, buckets, self._pattern)
         strict = self._sync == "strict" or self._fence_strict
         self._fence_strict = False
-        if not strict:
-            return self._exchange_relaxed(step, buckets, releases)
-
-        # Pipe writes and slab allocations block once full, so two peers
-        # pushing large boundary frames at each other would deadlock — the
-        # exact hazard Appendix B.3 describes ("receivers [must] actively
-        # empty the pipe").  We play the receiver role on this thread while
-        # the sender thread performs the blocking sends in schedule order.
-        transport = self._transport
-        run_id = self._run_id
-        # Releases for owners we owe no frame this boundary (a previous
-        # run on this pool used more processors) go on dedicated control
-        # frames; everything else piggybacks.
-        covered = set(self._peers)
-        for owner, ids in releases.items():
-            if owner not in covered:
-                transport.send_release(owner, run_id, self._pid, ids)
-        self._send_async(step, buckets, self._peers, releases=releases)
+        targets = self._peers if strict else \
+            [peer for peer in self._peers if buckets.get(peer)]
+        # Releases for owners we owe no frame this boundary (an empty
+        # relaxed bucket, or a previous run on this pool used more
+        # processors) go on dedicated control frames; everything else
+        # piggybacks.
+        covered = set(targets)
+        frames = [transport.prepare_release(owner, run_id, pid, ids)
+                  for owner, ids in releases.items() if owner not in covered]
+        for peer in targets:
+            out = transport.prepare_packets(
+                peer, run_id, step, pid, buckets.get(peer, ()),
+                releases=releases.get(peer, ()))
+            if out is not None:
+                frames.append(out)
+        target = (run_id << 32) | (step + 1)
+        handed_off = self._post(step, frames, None if strict else target)
 
         got: dict[int, list[Packet]] = {}
-        own = buckets.get(self._pid)
+        own = buckets.get(pid)
         if own is not None:
-            got[self._pid] = own
+            got[pid] = own
         got.update(self._stash.pop(step, {}))
-        while True:
-            waiting = set(self._peers) - self._departed - set(got)
-            if not waiting:
-                break
-            frame = transport.recv(self._pid)
-            if frame.run_id != run_id:
-                continue  # stale frame from an earlier run on this pool
-            if frame.tag == TAG_PKT:
-                if frame.stale:
-                    raise PacketError(
-                        f"pid {self._pid}: frame from pid {frame.src} at "
-                        f"superstep {frame.step} carries a zero-copy lease "
-                        "from a reset segment pool (stale generation)")
-                pkts = frame.packets(self._pid)
-                if frame.step == step:
-                    got[frame.src] = pkts
-                else:
-                    self._stash.setdefault(frame.step, {})[frame.src] = pkts
-            elif frame.tag == TAG_LEFT:
-                self._departed.add(frame.src)
-            elif frame.tag == TAG_DEAD:
-                if frame.src == self._pid:
-                    self._send_wait()
-                    raise self._push_error[0]  # our own send failed
-                raise _Abort()
-        self._send_wait()
-        if self._push_error:
-            raise self._push_error[0]
+        if strict:
+            while set(self._peers) - self._departed - set(got):
+                self._consume(transport.recv(pid), step, got)
+        else:
+            self._await_epochs(step, target, got)
+        if handed_off:
+            self._send_wait()
+            if self._push_error:
+                raise self._push_error[0]
         # A strict boundary inside a relaxed/elide run (a checkpoint
         # fence) must keep the epoch invariant — epoch == completed
         # boundaries — so peers' later relaxed waits stay satisfiable.
-        if self._sync != "strict" and not self._epoch_frozen:
-            transport.set_epoch(self._pid, (run_id << 32) | (step + 1),
-                                self._nprocs)
+        if strict and self._sync != "strict" and not self._epoch_frozen:
+            transport.set_epoch(pid, target, self._nprocs)
         # One frame per source, each a seq-sorted run: the inbox is
         # already in canonical order once concatenated by src.
         return PacketRuns(got.items())
@@ -353,57 +357,15 @@ class _FrameChannel:
                 raise self._push_error[0]  # our own send failed
             raise _Abort()
 
-    def _exchange_relaxed(self, step: int,
-                          buckets: dict[int, list[Packet]],
-                          releases: dict[int, list[int]]) -> PacketRuns:
-        """Relaxed/elide boundary: frames for data, epochs for the barrier.
-
-        Only non-empty buckets become frames.  This thread drains its own
-        pipe non-blockingly (so mutual large pushes cannot deadlock),
-        publishes its epoch word once its sends completed, and passes the
-        boundary when every awaited peer's epoch shows the same — after
-        which one final drain is guaranteed to find every frame owed for
-        this superstep, because each peer's pipe writes happen before its
-        epoch store.
-        """
-        transport, run_id, pid = self._transport, self._run_id, self._pid
-        pattern = self._pattern
-        targets = [peer for peer in self._peers if buckets.get(peer)]
-        # Releases piggyback on the data frames we owe; owners getting no
-        # frame this boundary (empty bucket) get a dedicated control
-        # frame.  Lease releases only exist at all after large payloads
-        # flowed, so empty-superstep frame budgets are unchanged.
-        covered = set(targets)
-        for owner, ids in releases.items():
-            if owner not in covered:
-                transport.send_release(owner, run_id, pid, ids)
-        target = (run_id << 32) | (step + 1)
-        queued = bool(targets)
-        if queued:
-            # The sender thread publishes our epoch itself, right after
-            # its last pipe write — this thread never has to poll for
-            # its own send completion.
-            self._send_async(step, buckets, targets, epoch=target,
-                             releases=releases)
-        else:
-            # Barrier-bound fast path: nothing to write means nothing
-            # can block, so the epoch is published inline and the whole
-            # sender-thread round trip (two condvar handoffs and two
-            # thread switches per boundary) disappears.  This is what
-            # makes an empty superstep cost less than a strict one.
-            plan = faults._ACTIVE
-            if plan is not None and plan.drops_any_frame(pid, step):
-                self._epoch_frozen = True
-            if not self._epoch_frozen:
-                transport.set_epoch(pid, target, self._nprocs)
-
-        got: dict[int, list[Packet]] = {}
-        own = buckets.get(pid)
-        if own is not None:
-            got[pid] = own
-        got.update(self._stash.pop(step, {}))
-        if self._sync == "elide" and pattern is not None:
-            waitset = set(pattern.receives_from)
+    def _await_epochs(self, step: int, target: int,
+                      got: dict[int, list[Packet]]) -> None:
+        """Relaxed/elide wait: drain frames until every awaited peer's
+        epoch reaches ``target``, then drain once more — each peer's pipe
+        writes happen before its epoch store, so that final drain finds
+        every frame owed for this superstep."""
+        transport, pid = self._transport, self._pid
+        if self._sync == "elide" and self._pattern is not None:
+            waitset = set(self._pattern.receives_from)
         else:
             waitset = set(self._peers)
         while True:
@@ -418,18 +380,10 @@ class _FrameChannel:
             # TAG_LEFT / TAG_DEAD frames, which do not notify epochs.
             if transport.wait_epochs(waitset, target, self._departed, 0.002):
                 break
-        # Final full drain: every awaited peer's pipe writes happen
-        # before its epoch store, so all frames owed for this superstep
-        # are pollable by now.
         frame = transport.try_recv(pid)
         while frame is not None:
             self._consume(frame, step, got)
             frame = transport.try_recv(pid)
-        if queued:
-            self._send_wait()
-            if self._push_error:
-                raise self._push_error[0]
-        return PacketRuns(got.items())
 
     def depart(self) -> None:
         plan = faults._ACTIVE
@@ -1072,7 +1026,7 @@ class BspPool:
 
         Partial healing is sound only when the transport fabric is
         recoverable: every writer lock acquirable (a worker killed
-        mid-``send_packets`` dies holding its destination's lock, wedging
+        mid-``commit`` dies holding its destination's lock, wedging
         the pipe) and the TAG_DEAD wake-up deliverable.  The replacement
         workers become the new single consumers of the victims' inherited
         pipes and slabs; the fence then drains all debris, after which

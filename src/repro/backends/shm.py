@@ -185,8 +185,11 @@ class _Segment:
 class SegmentPool:
     """Sender-side pool of named segments, one sub-pool per destination.
 
-    Thread-safe: the channel's sender thread leases while the main
-    thread applies releases collected from inbound frames.
+    Thread-safe.  Leases are taken on the worker thread while it
+    prepares boundary frames (never by the sender thread, which only
+    writes prepared frames); releases are applied by whichever thread
+    drains the inbound pipe — the worker, or the fence drainer after a
+    failed run.
     """
 
     def __init__(self, token: str, src: int, counter=None, *,

@@ -247,6 +247,30 @@ def frame_object(frame: Frame) -> Any:
     return pickle.loads(frame.meta, buffers=frame.buffers)
 
 
+def _check_header(header: Any) -> None:
+    """Reject a header that unpickled but is not a well-typed frame header.
+
+    A CRC covers the header, but a damaged (or hostile) stream can still
+    yield a header that parses; every field is checked before use, so
+    the decoder fails with :class:`PacketError` rather than a bare
+    ``TypeError`` or ``struct.error`` further down.
+    """
+    if type(header) is not tuple or len(header) != 7:
+        raise PacketError(f"wire frame header is not a 7-tuple: {header!r:.80}")
+    tag, run_id, step, src, lens, meta, more = header
+    if not all(type(v) is int for v in (tag, run_id, step, src)):
+        raise PacketError("wire frame header: tag, run_id, step and src "
+                          "must be ints")
+    if type(lens) is not tuple or not all(
+            type(n) is int and n >= 0 for n in lens):
+        raise PacketError("wire frame header: buffer lengths must be a "
+                          "tuple of non-negative ints")
+    if meta is not None and type(meta) is not bytes:
+        raise PacketError("wire frame header: meta must be bytes or None")
+    if type(more) is not int or more not in (0, 1):
+        raise PacketError("wire frame header: more must be 0 or 1")
+
+
 class FrameDecoder:
     """Incremental frame decoder over a TCP byte stream.
 
@@ -315,11 +339,11 @@ class FrameDecoder:
             hbytes = bytes(buf[ENVELOPE_BYTES:ENVELOPE_BYTES + hlen])
             try:
                 header = pickle.loads(hbytes)
-                tag, run_id, step, src, lens, meta, more = header
             except Exception as exc:
                 raise PacketError(
                     f"undecodable wire frame header: {exc}") from exc
-            total = sum(lens)
+            _check_header(header)
+            total = sum(header[4])
             if total > self._max_frame:
                 raise PacketError(
                     f"wire frame of {total} payload bytes exceeds the "

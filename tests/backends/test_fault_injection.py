@@ -169,7 +169,9 @@ class TestProgramLevelFaults:
             assert health.restarts_left == pool._max_restarts
             assert _snapshot(pool.run(ring_program, 3)) == _golden(3)
 
-    def test_poison_fails_in_sender_thread(self):
+    def test_poison_fails_at_the_boundary(self):
+        # The payload is pickled on the worker's own thread while the
+        # boundary frames are prepared, before any frame is written.
         plan = faults.FaultPlan([faults.Fault(faults.POISON, pid=1, step=0)])
         with faults.injected(plan):
             with pytest.raises(VirtualProcessorError) as err:

@@ -15,6 +15,7 @@ Three layers of guarantees:
 
 import hashlib
 import multiprocessing as mp
+import os
 import time
 
 import numpy as np
@@ -25,6 +26,7 @@ from hypothesis import strategies as st
 from repro.backends.frames import (
     FrameTransport,
     Slab,
+    _REWIND_RESERVE,
     _RecvPool,
     decode_packets,
     encode_packets,
@@ -168,6 +170,60 @@ class TestSlabRing:
                 slab.write(off, payload)
                 assert slab.read_copy(off, len(payload)) == payload
                 slab.free_to(slab._ctrl[1])
+        finally:
+            slab.close()
+
+    def test_drained_ring_rewinds_to_its_first_frames(self):
+        # Regression: a pooled worker's ring used to walk its whole
+        # capacity (keeping every touched page resident) even when each
+        # frame was consumed before the next was sent.  Once drained, an
+        # allocation that fits below the current position (with the
+        # rewind reserve) restarts at physical 0.
+        slab = Slab(4 << 20, spin_timeout=5.0)
+        try:
+            frame = 3000
+            phys = []
+            for i in range(1000):
+                off = slab.alloc(frame)
+                slab.write(off, bytes([i % 251]) * frame)
+                assert slab.read_copy(off, frame) == bytes([i % 251]) * frame
+                slab.free_to(off + frame)
+                phys.append(off % slab.capacity)
+            assert max(phys) < _REWIND_RESERVE + 2 * frame
+            assert phys.count(0) > 5
+        finally:
+            slab.close()
+
+    def test_rewind_leaves_room_for_other_senders(self):
+        # The wrap padding of a rewound frame stays "used" until the
+        # receiver consumes that frame; a rewind must still leave the
+        # reserve free for the other senders of the same superstep.
+        slab = Slab(4 << 20, spin_timeout=5.0)
+        try:
+            frame = 3000
+            for _ in range(3):
+                off = slab.alloc(frame)
+                slab.free_to(off + frame)
+            assert slab.alloc(frame) % slab.capacity != 0  # too early
+            slab.free_to(slab._ctrl[1])
+            while True:
+                off = slab.alloc(frame)
+                if off % slab.capacity == 0:
+                    break
+                slab.free_to(off + frame)
+            # Not drained: the rewound frame is still unread.
+            assert slab.try_alloc(_REWIND_RESERVE - frame) is not None
+        finally:
+            slab.close()
+
+    def test_undrained_ring_does_not_rewind(self):
+        slab = Slab(1 << 20, spin_timeout=5.0)
+        try:
+            first = slab.alloc(4096)
+            second = slab.alloc(4096)  # first still unread: no rewind
+            assert second == first + 4096
+            assert slab.try_alloc(slab.capacity - 8192) is not None
+            assert slab.try_alloc(64) is None  # ring full: no waiting
         finally:
             slab.close()
 
@@ -318,6 +374,32 @@ class TestBspPoolReuse:
         pool.close()
         with pytest.raises(BspConfigError):
             pool.run(ring_program, args=(1,))
+
+    def test_worker_rss_flat_over_many_ocean_runs(self):
+        """Pooled workers must not grow their resident set run after run:
+        the slab ring reuses its first pages once drained."""
+        from repro.apps.ocean import bsp_ocean
+
+        def rss_kib(os_pid):
+            with open(f"/proc/{os_pid}/status") as status:
+                for line in status:
+                    if line.startswith("VmRSS:"):
+                        return int(line.split()[1])
+            raise AssertionError("no VmRSS line")
+
+        if not os.path.exists("/proc/self/status"):
+            pytest.skip("needs /proc")
+        with ProcessBackend.pool(2) as backend:
+            os_pids = [proc.pid for proc in backend._pool._procs]
+            for _ in range(3):
+                bsp_ocean(66, 2, 2, backend=backend)
+            before = [rss_kib(q) for q in os_pids]
+            for _ in range(50):
+                bsp_ocean(66, 2, 2, backend=backend)
+            after = [rss_kib(q) for q in os_pids]
+        # Without the rewind each run walked ~0.25 MiB of fresh ring.
+        assert all(a - b < 2048 for a, b in zip(after, before)), \
+            (before, after)
 
     def test_backend_pool_classmethod(self):
         with ProcessBackend.pool(3) as backend:

@@ -143,6 +143,71 @@ class TestDecoderFuzz:
         assert frames[0].seq == frames[1].seq == seed % 11
 
 
+def _crafted_frame(header, payload: bytes = b"") -> bytes:
+    """A frame around an arbitrary header: valid envelope and CRC, so
+    only the decoder's header checks stand between it and the channel."""
+    hbytes = pickle.dumps(header)
+    crc = wire._crc_frame(hbytes, [payload] if payload else [])
+    return (wire.pack_envelope(wire.FLAG_CRC, 0, -1, len(hbytes)) + hbytes
+            + payload + wire._PREFIX.pack(crc))
+
+
+_INTS = st.integers(-(1 << 40), 1 << 40)
+_FIELD = st.one_of(_INTS, st.none(), st.booleans(), st.binary(max_size=8),
+                   st.text(max_size=4), st.floats(allow_nan=False),
+                   st.tuples(_INTS), st.lists(_INTS, max_size=2))
+_LENS = st.one_of(st.tuples(*[st.integers(0, 16)] * 2),
+                  st.tuples(st.integers(-8, 16)), _FIELD)
+
+
+class TestHeaderValidation:
+    """A header that unpickles must still be a well-typed frame header."""
+
+    def test_scalar_lens_is_packet_error(self):
+        blob = _crafted_frame((TAG_PKT, 1, 0, 0, 7, None, 0))
+        with pytest.raises(PacketError, match="buffer lengths"):
+            wire.FrameDecoder().feed(blob)
+
+    def test_negative_length_is_packet_error(self):
+        blob = _crafted_frame((TAG_PKT, 1, 0, 0, (-5,), None, 0))
+        with pytest.raises(PacketError, match="non-negative"):
+            wire.FrameDecoder().feed(blob)
+
+    def test_well_formed_header_still_decodes(self):
+        (frame,) = wire.FrameDecoder().feed(
+            _crafted_frame((TAG_PKT, 1, 2, 3, (4,), b"m", 1), b"abcd"))
+        assert (frame.tag, frame.run_id, frame.step, frame.src) == \
+            (TAG_PKT, 1, 2, 3)
+        assert frame.meta == b"m" and frame.more == 1
+        assert frame.buffers == [bytearray(b"abcd")]
+
+    @_FUZZ
+    @given(header=st.tuples(_FIELD, _FIELD, _FIELD, _FIELD, _LENS,
+                            _FIELD, _FIELD))
+    def test_any_seven_tuple_is_packet_error_or_correct(self, header):
+        lens = header[4]
+        payload = b""
+        if type(lens) is tuple and all(type(n) is int and 0 <= n <= 64
+                                       for n in lens):
+            payload = bytes(i % 251 for i in range(sum(lens)))
+        dec = wire.FrameDecoder()
+        try:
+            frames = dec.feed(_crafted_frame(header, payload))
+        except PacketError:
+            return
+        if not frames:  # announced more payload than the stream holds
+            assert dec.mid_frame
+            return
+        (frame,) = frames
+        tag, run_id, step, src, lens, meta, more = header
+        assert (frame.tag, frame.run_id, frame.step, frame.src, frame.meta,
+                frame.more) == (tag, run_id, step, src, meta, more)
+        assert all(type(v) is int for v in (tag, run_id, step, src))
+        assert more in (0, 1) and type(more) is int
+        assert b"".join(frame.buffers) == payload
+        assert [len(b) for b in frame.buffers] == list(lens)
+
+
 # ---------------------------------------------------------------------------
 # Chaos: seeded network faults + a crash on checkpointed applications
 # ---------------------------------------------------------------------------

@@ -26,17 +26,28 @@ the program observes.  Exercised here:
   with a declared empty pattern sends nothing at all (full barrier
   elision);
 * an out-of-pattern send under a validating declaration fails loudly at
-  the next boundary instead of deadlocking the receiver.
+  the next boundary instead of deadlocking the receiver;
+* the pipes boundary posts frames from the worker's own thread: a
+  non-blocking commit writes nothing and reports "hand off" whenever the
+  write could block (destination lock held, slab full, pipe full), runs
+  whose frames could block finish through the sender thread with golden
+  ledgers, and small-frame runs never start it.
 """
 
+import hashlib
+import multiprocessing as mp
 import random
+import threading
+import time
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import bsp_run
 from repro import faults
+from repro.backends.frames import FrameTransport
 from repro.backends.processes import ProcessBackend
 from repro.backends.tcp import TcpBackend
 from repro.core.errors import (
@@ -44,6 +55,7 @@ from repro.core.errors import (
     SynchronizationError,
     VirtualProcessorError,
 )
+from repro.core.packets import Packet
 
 MODES = ("strict", "relaxed", "elide")
 
@@ -332,3 +344,255 @@ class TestEmptySuperstepFrameBudgets:
     def test_pipes_elide_empty_pattern_sends_nothing(self):
         assert _count_frames("processes", "elide", empty_pattern_steps,
                              self.P, self.ROUNDS) == 0
+
+
+# ---------------------------------------------------------------------------
+# Worker-thread posting: inline non-blocking commits, sender thread only
+# for frames that could block
+# ---------------------------------------------------------------------------
+
+
+def _handed_off():
+    """True once this worker's channel started its sender thread."""
+    return any(t.name.startswith("bsp-send-") for t in threading.enumerate())
+
+
+def chatty(bsp, npackets, rounds=2):
+    """Many small inline payloads: each per-peer meta outgrows a pipe."""
+    digests = []
+    for r in range(rounds):
+        for q in range(bsp.nprocs):
+            if q != bsp.pid:
+                for i in range(npackets):
+                    bsp.send(q, f"{bsp.pid}:{r}:{i}")
+        bsp.sync()
+        text = "|".join(pkt.payload for pkt in bsp.packets())
+        digests.append(hashlib.sha256(text.encode()).hexdigest()[:16])
+        bsp.sync()  # empty superstep
+    return digests, _handed_off()
+
+
+def lagging_receiver(bsp, n):
+    """pid 0 reaches the boundary late, so its slab fills up."""
+    if bsp.pid == 0:
+        time.sleep(0.3)
+    for q in range(bsp.nprocs):
+        if q != bsp.pid:
+            bsp.send(q, np.full(n, float(bsp.pid)))
+    bsp.sync()
+    return sum(float(pkt.payload[0]) for pkt in bsp.packets()), _handed_off()
+
+
+def small_halos(bsp, rounds=20):
+    total = 0.0
+    for _ in range(rounds):
+        bsp.send((bsp.pid + 1) % bsp.nprocs, np.full(130, float(bsp.pid)))
+        bsp.sync()
+        total += sum(float(pkt.payload.sum()) for pkt in bsp.packets())
+        bsp.sync()
+    return total, _handed_off()
+
+
+def unpicklable_send(bsp, bad_pid):
+    bsp.send((bsp.pid + 1) % bsp.nprocs,
+             (lambda: None) if bsp.pid == bad_pid else bsp.pid)
+    bsp.sync()
+    return True
+
+
+def _split(run):
+    """(results without the hand-off flags, ledger key), flags."""
+    values = [value for value, _ in run.results]
+    flags = [flag for _, flag in run.results]
+    return (values, _ledger_key(run.stats)), flags
+
+
+@pytest.fixture()
+def fabric():
+    transport = FrameTransport(2, mp.get_context("fork"),
+                               slab_bytes=64 << 10, spin_timeout=5.0)
+    yield transport
+    transport.close()
+
+
+class TestNonBlockingCommit:
+    """``commit(block=False)`` never writes a byte when it hands off."""
+
+    def _frame(self, transport, payload):
+        return transport.prepare_packets(
+            1, 1, 0, 0, [Packet(src=0, dst=1, payload=payload, h=1, seq=0)])
+
+    def test_destination_lock_held(self, fabric):
+        out = self._frame(fabric, np.ones(64))
+        tail = fabric._slabs[1]._ctrl[1]
+        lock = fabric._locks[1]
+        lock.acquire()
+        try:
+            assert fabric.commit(out, block=False) is False
+        finally:
+            lock.release()
+        assert not fabric._recv_conns[1].poll(0)
+        assert fabric._slabs[1]._ctrl[1] == tail
+        assert fabric.commit(out, block=False) is True
+        (pkt,) = fabric.recv(1).packets(1)
+        np.testing.assert_array_equal(pkt.payload, np.ones(64))
+
+    def test_slab_full(self, fabric):
+        slab = fabric._slabs[1]
+        slab.alloc(slab.max_frame)  # an unread frame holds half the ring
+        slab.alloc(slab.capacity - slab.max_frame - 64)
+        tail = slab._ctrl[1]
+        out = self._frame(fabric, np.ones(64))
+        assert out.slab_bytes  # a slab frame, not a pipe-mode one
+        assert fabric.commit(out, block=False) is False
+        assert slab._ctrl[1] == tail
+        assert not fabric._recv_conns[1].poll(0)
+
+    def test_pipe_full(self, fabric):
+        # A peer that is not draining: 40 KB sit unread in its pipe.
+        fabric._send_conns[1].send_bytes(bytes(40_000))
+        if not fabric._pipe_sizes[1]:
+            pytest.skip("pipe capacity not measurable on this platform")
+        tail = fabric._slabs[1]._ctrl[1]
+        out = self._frame(fabric, "small")
+        assert fabric.commit(out, block=False) is False
+        assert fabric._slabs[1]._ctrl[1] == tail
+        assert len(fabric._recv_conns[1].recv_bytes()) == 40_000
+        assert not fabric._recv_conns[1].poll(0)  # nothing was written after it
+        assert fabric.commit(out, block=False) is True  # drained: inline
+
+    def test_slab_bytes_zero_pipe_frames_commit_inline(self):
+        transport = FrameTransport(2, mp.get_context("fork"), slab_bytes=0)
+        try:
+            out = self._frame(transport, np.arange(16.0))
+            assert not out.slab_bytes
+            assert transport.commit(out, block=False) is True
+            (pkt,) = transport.recv(1).packets(1)
+            np.testing.assert_array_equal(pkt.payload, np.arange(16.0))
+        finally:
+            transport.close()
+
+
+class TestChannelHandOff:
+    """At the boundary, a frame whose write could block is handed to the
+    sender thread — and still arrives once the obstacle clears."""
+
+    @pytest.mark.parametrize("obstacle", ["lock", "slab", "pipe"])
+    def test_would_block_frame_is_handed_off(self, fabric, obstacle):
+        from repro.backends.processes import _FrameChannel
+
+        slab = fabric._slabs[1]
+        cleared = threading.Event()
+
+        def clear_later(action):
+            def run():
+                time.sleep(0.2)
+                cleared.set()
+                action()
+            threading.Thread(target=run, daemon=True).start()
+
+        if obstacle == "lock":
+            held = threading.Event()
+
+            def hold():
+                with fabric._locks[1]:
+                    held.set()
+                    time.sleep(0.2)
+                    cleared.set()
+            threading.Thread(target=hold, daemon=True).start()
+            held.wait(5)
+        elif obstacle == "slab":
+            slab.alloc(slab.max_frame)
+            slab.alloc(slab.capacity - slab.max_frame - 64)
+            clear_later(lambda: slab.free_to(slab._ctrl[1]))
+        else:
+            fabric._send_conns[1].send_bytes(bytes(40_000))
+            cleared.set()  # a blocking write fits: nothing to clear
+        # pid 1's frame for this boundary is already in pid 0's pipe.
+        fabric.send_packets(0, 1, 0, 1, [])
+        channel = _FrameChannel(0, 2, fabric, 1)
+        try:
+            inbox = channel.exchange(0, 0, [
+                Packet(src=0, dst=1, payload=np.ones(64), h=1, seq=0)])
+            assert cleared.is_set()
+            assert channel._sender is not None  # the hand-off happened
+        finally:
+            channel.close()
+        assert inbox.merged() == []
+        if obstacle == "pipe":
+            assert len(fabric._recv_conns[1].recv_bytes()) == 40_000
+        (pkt,) = fabric.recv(1).packets(1)
+        np.testing.assert_array_equal(pkt.payload, np.ones(64))
+
+
+class TestHandOffPath:
+    """Frames that could block reach the sender thread; results and
+    ledgers stay equal to the simulator's."""
+
+    @pytest.fixture(scope="class")
+    def pool4(self):
+        with ProcessBackend.pool(4, join_timeout=60.0) as backend:
+            yield backend
+
+    @pytest.mark.parametrize("sync", MODES)
+    def test_meta_larger_than_pipe_hands_off(self, pool4, sync):
+        golden, _ = _split(bsp_run(chatty, 4, args=(5000,)))
+        got, flags = _split(bsp_run(chatty, 4, backend=pool4,
+                                    args=(5000,), sync=sync))
+        assert got == golden
+        assert all(flags)  # every worker handed a frame off
+
+    @pytest.mark.parametrize("sync", MODES)
+    def test_full_slab_hands_off(self, sync):
+        n = 3500  # 28 KB: slab frames, two of which fill a 64 KiB ring
+        golden, _ = _split(bsp_run(lagging_receiver, 4, args=(n,)))
+        with ProcessBackend.pool(4, join_timeout=30.0,
+                                 slab_bytes=64 << 10) as backend:
+            got, flags = _split(bsp_run(lagging_receiver, 4, backend=backend,
+                                        args=(n,), sync=sync))
+        assert got == golden
+        assert any(flags[1:])
+
+    def test_small_frames_never_start_the_sender(self):
+        golden, _ = _split(bsp_run(small_halos, 2))
+        with ProcessBackend.pool(2) as backend:
+            for sync in MODES * 2:
+                got, flags = _split(bsp_run(small_halos, 2, backend=backend,
+                                            sync=sync))
+                assert got == golden
+                assert not any(flags), sync
+
+
+class TestPostingFaults:
+    @pytest.mark.parametrize("sync", MODES)
+    def test_unpicklable_payload_names_its_pid(self, sync):
+        with ProcessBackend.pool(3, join_timeout=20.0) as backend:
+            start = time.monotonic()
+            with pytest.raises(VirtualProcessorError) as err:
+                bsp_run(unpicklable_send, 3, backend=backend, args=(2,),
+                        sync=sync)
+            # Peers are woken by the failing worker, not by the timeout.
+            assert time.monotonic() - start < 10.0
+            assert err.value.pid == 2
+            run = bsp_run(mixed_ring, 3, backend=backend, sync=sync)
+            assert _snapshot(run) == _snapshot(bsp_run(mixed_ring, 3))
+
+    @pytest.mark.parametrize("sync", MODES)
+    def test_poison_names_its_pid(self, sync):
+        plan = faults.FaultPlan([faults.Fault(faults.POISON, pid=1, step=1)])
+        with faults.injected(plan):
+            with pytest.raises(VirtualProcessorError) as err:
+                bsp_run(mixed_ring, 3, backend=ProcessBackend(
+                    join_timeout=20.0), sync=sync)
+        assert err.value.pid == 1
+        assert "injected pickle failure" in err.value.traceback_text
+
+    @pytest.mark.parametrize("sync", ["strict", "elide"])
+    def test_dropped_frame_is_deadlock(self, sync):
+        plan = faults.FaultPlan(
+            [faults.Fault(faults.DROP_FRAME, pid=0, step=0, arg=1)])
+        with faults.injected(plan):
+            with pytest.raises(DeadlockError) as err:
+                bsp_run(mixed_ring, 3, backend=ProcessBackend(
+                    join_timeout=2.5), sync=sync)
+        assert err.value.stalled

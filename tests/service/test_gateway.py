@@ -7,12 +7,14 @@ client's stream must reach a terminal state (never hang), and the fleet
 must be back at capacity afterwards.
 """
 
+import threading
 import time
 
 import pytest
 
 from repro import faults
 from repro.core.errors import AdmissionError, BspConfigError, BspUsageError
+from repro.service import jobs
 from repro.service import (
     FleetSpec,
     GatewayConfig,
@@ -123,26 +125,41 @@ class TestAdmissionBoundary:
             client.submit(app="noop", size="1", nprocs=4,
                           backend="simulator")
 
-    def test_queue_overflow_rejected(self):
+    def test_queue_overflow_rejected(self, monkeypatch):
         """With both slots held by slow jobs and the queue full, the
         next submit is shed with a typed error, not queued late."""
+        # The threads backend runs jobs in this process, so the "spin"
+        # job can hold its slot on an event instead of a timer: it cannot
+        # finish (and free a queue slot) before the overflow is checked.
+        release = threading.Event()
+
+        def gated(bsp, **kwargs):
+            release.wait(60)
+            return jobs.spin_program(bsp, **kwargs)
+
+        monkeypatch.setitem(jobs._BUILTIN_PROGRAMS, "spin", gated)
         config = GatewayConfig(
             fleet=(FleetSpec(backend="threads", nprocs=4, pools=1),),
             scheduler=SchedulerConfig(max_queued=2))
         with serve_in_background(config) as svc:
             client = ServiceClient(svc.host, svc.port)
-            slow = dict(app="spin", size="4", nprocs=4, backend="threads",
-                        params={"spin_seconds": 0.1})
-            running = client.submit(**slow, wait=False)
-            # Give the single slot time to lease the running job, then
-            # fill the queue behind it.
-            deadline = time.time() + 30
-            while client.status(running.job_id)["state"] == "QUEUED":
-                assert time.time() < deadline
-                time.sleep(0.01)
-            queued = [client.submit(**slow, wait=False) for _ in range(2)]
-            with pytest.raises(AdmissionError, match="admission queue full"):
-                client.submit(**slow)
+            slow = dict(app="spin", size="4", nprocs=4, backend="threads")
+            try:
+                running = client.submit(**slow, wait=False)
+                # Wait for the single slot to lease the running job, then
+                # fill the queue behind it.
+                deadline = time.time() + 30
+                while client.status(running.job_id)["state"] == "QUEUED":
+                    assert time.time() < deadline
+                    time.sleep(0.01)
+                queued = [client.submit(**slow, wait=False)
+                          for _ in range(2)]
+                with pytest.raises(AdmissionError,
+                                   match="admission queue full"):
+                    client.submit(**slow)
+                assert client.status(running.job_id)["state"] == "RUNNING"
+            finally:
+                release.set()
             for handle in [running] + queued:
                 assert handle.wait()["state"] == "DONE"
 
